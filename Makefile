@@ -107,15 +107,20 @@ bench-cold:
 		mv BENCH_tableI.json.tmp BENCH_tableI.json && rm BENCH_cold.json; \
 	else mv BENCH_cold.json BENCH_tableI.json; fi
 
-# fuzz runs the native fuzz targets over the parsers that consume
-# attacker-controlled bytes, each for FUZZTIME (go permits one -fuzz
-# pattern per invocation, hence the three runs).
+# fuzz runs the native fuzz targets over the decoders that consume
+# attacker-controlled bytes (manifests, MP4 boxes, the TEE command frame,
+# the license and provisioning servers' request bodies), each for
+# FUZZTIME (go permits one -fuzz pattern per invocation, hence one run
+# per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sstr -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseInitSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseMediaSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTEEFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cdm -run '^$$' -fuzz '^FuzzParseLicenseRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cdm -run '^$$' -fuzz '^FuzzParseProvisioningRequest$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

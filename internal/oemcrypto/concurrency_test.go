@@ -100,7 +100,8 @@ func TestConcurrentTracerSwaps(t *testing.T) {
 
 // BenchmarkDecryptCENC_L1 measures the TEE path's per-sample decrypt cost,
 // the ablation counterpart of BenchmarkDecryptCENC (L3): the difference is
-// the world-boundary crossing (gob + SMC dispatch).
+// the world-boundary crossing (framing the sample into the request and the
+// result into the response, plus SMC dispatch).
 func BenchmarkDecryptCENC_L1(b *testing.B) {
 	f := newTEEFixture(b, "15.0")
 	f.provision(b)

@@ -1,8 +1,6 @@
 package oemcrypto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,9 +13,9 @@ import (
 // TrustletName is the Widevine trusted application's name in the TEE.
 const TrustletName = "widevine"
 
-// teeRequest/teeResponse are the gob-framed messages crossing the world
-// boundary. Only these opaque bytes are ever visible to a normal-world
-// monitor — never the trustlet's internal key material.
+// teeRequest/teeResponse are the messages crossing the world boundary,
+// framed by teewire.go. Only these opaque bytes are ever visible to a
+// normal-world monitor — never the trustlet's internal key material.
 type teeRequest struct {
 	Session    SessionID
 	Context    []byte
@@ -86,7 +84,7 @@ func (t *Trustlet) Invoke(ctx *tee.Context, cmd uint32, input []byte) ([]byte, e
 
 	var req teeRequest
 	if len(input) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(input)).Decode(&req); err != nil {
+		if err := req.unmarshal(input); err != nil {
 			return nil, fmt.Errorf("oemcrypto: tee request: %w", err)
 		}
 	}
@@ -140,11 +138,7 @@ func (t *Trustlet) Invoke(ctx *tee.Context, cmd uint32, input []byte) ([]byte, e
 		return nil, fmt.Errorf("oemcrypto: unknown tee command %d", cmd)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&resp); err != nil {
-		return nil, fmt.Errorf("oemcrypto: tee response: %w", err)
-	}
-	return buf.Bytes(), nil
+	return resp.marshal(), nil
 }
 
 // funcProvisioned is a pseudo entry point (outside the hooked table) the
@@ -198,32 +192,32 @@ func NewTEEEngine(version string, world *tee.World) (*TEEEngine, error) {
 // call serializes a request, crosses the world boundary and decodes the
 // response.
 func (e *TEEEngine) call(fn Func, req teeRequest) (teeResponse, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return teeResponse{}, fmt.Errorf("oemcrypto: encode tee request: %w", err)
-	}
-	out, err := e.world.Invoke(TrustletName, uint32(fn), buf.Bytes())
+	out, err := e.world.Invoke(TrustletName, uint32(fn), req.marshal())
 	if err != nil {
 		return teeResponse{}, err
 	}
 	var resp teeResponse
-	if err := gob.NewDecoder(bytes.NewReader(out)).Decode(&resp); err != nil {
+	if err := resp.unmarshal(out); err != nil {
 		return teeResponse{}, fmt.Errorf("oemcrypto: decode tee response: %w", err)
 	}
 	return resp, nil
 }
 
-// mapTEEError rehydrates sentinel errors across the gob boundary so callers
-// can still match with errors.Is.
+// teeSentinels are the errors whose identity survives the world boundary:
+// the trustlet sends a sentinel's message and the adapter maps it back, so
+// callers can still match with errors.Is.
+var teeSentinels = []error{
+	ErrNoSession, ErrNoKeybox, ErrNotProvisioned, ErrSignatureInvalid,
+	ErrKeysNotDerived, ErrKeyNotLoaded, ErrNoKeySelected,
+	ErrKeyExpired, ErrTooManySessions,
+}
+
+// mapTEEError rehydrates an error message received from the trustlet.
 func mapTEEError(msg string) error {
 	if msg == "" {
 		return nil
 	}
-	for _, sentinel := range []error{
-		ErrNoSession, ErrNoKeybox, ErrNotProvisioned, ErrSignatureInvalid,
-		ErrKeysNotDerived, ErrKeyNotLoaded, ErrNoKeySelected,
-		ErrKeyExpired, ErrTooManySessions,
-	} {
+	for _, sentinel := range teeSentinels {
 		if msg == sentinel.Error() {
 			return sentinel
 		}
@@ -231,17 +225,13 @@ func mapTEEError(msg string) error {
 	return errors.New(msg)
 }
 
+// errString flattens a trustlet error for the response frame, reducing a
+// chain that wraps a sentinel to the sentinel's message.
 func errString(err error) string {
 	if err == nil {
 		return ""
 	}
-	// Preserve sentinel identity where possible: unwrap to the sentinel
-	// message if the chain contains one.
-	for _, sentinel := range []error{
-		ErrNoSession, ErrNoKeybox, ErrNotProvisioned, ErrSignatureInvalid,
-		ErrKeysNotDerived, ErrKeyNotLoaded, ErrNoKeySelected,
-		ErrKeyExpired, ErrTooManySessions,
-	} {
+	for _, sentinel := range teeSentinels {
 		if errors.Is(err, sentinel) {
 			return sentinel.Error()
 		}
