@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/serve"
 	"repro/internal/wideleak"
 )
 
@@ -22,24 +23,6 @@ import (
 // indexes. Routed this way, a fleet-wide batch gets the same cell
 // sharing a single daemon would give co-world specs, without ever
 // duplicating a world across replicas.
-
-// fleetBatchPart is one sub-batch living on one replica. specIdx maps
-// the replica's local spec indexes (0..len-1) back to the fleet batch's.
-type fleetBatchPart struct {
-	replicaID string
-	remoteID  string
-	specIdx   []int
-}
-
-// fleetBatch is the router's record of one fanned-out batch.
-type fleetBatch struct {
-	id    string
-	specs []wideleak.RunSpec
-	parts []fleetBatchPart
-
-	// specPart[i] locates fleet spec i: which part, and its index there.
-	specPart []struct{ part, idx int }
-}
 
 // remoteBatchSubmit is the slice of the daemon's batch-submit response
 // the router needs.
@@ -55,17 +38,6 @@ type remoteBatchStatus struct {
 	RowsDone int                 `json:"rows_done"`
 	Stats    wideleak.BatchStats `json:"stats,omitempty"`
 	WallMS   int64               `json:"wall_ms,omitempty"`
-}
-
-// fleetBatchRow mirrors the daemon's row wire shape; the router
-// re-stamps Seq and remaps Spec to fleet indexes.
-type fleetBatchRow struct {
-	Seq    int64    `json:"seq"`
-	Spec   int      `json:"spec"`
-	App    string   `json:"app"`
-	Err    string   `json:"error,omitempty"`
-	Probes []string `json:"probes,omitempty"`
-	Cells  []string `json:"cells,omitempty"`
 }
 
 // fleetBatchStatus is the router's merged status document.
@@ -93,10 +65,7 @@ type fleetBatchPartDoc struct {
 // first healthy replica in ring-walk order (the owner when it is up).
 func (rt *Router) batchTarget(worldKey string) *replica {
 	for _, id := range rt.ring.sequence(worldKey) {
-		rt.mu.Lock()
-		rep := rt.replicas[id]
-		rt.mu.Unlock()
-		if rep != nil && rep.isHealthy() {
+		if rep := rt.replica(id); rep != nil && rep.isHealthy() {
 			return rep
 		}
 	}
@@ -158,7 +127,7 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Submit one sub-batch per replica. A failed part cancels the ones
 	// already placed — a fleet batch exists whole or not at all.
-	batch := &fleetBatch{specs: specs}
+	batch := &record{batch: true, specs: specs}
 	for _, id := range order {
 		p := parts[id]
 		body, err := json.Marshal(map[string]any{"specs": p.specs, "concurrency": req.Concurrency})
@@ -178,13 +147,23 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		decErr := json.NewDecoder(resp.Body).Decode(&remote)
 		status := resp.StatusCode
 		drainBody(resp)
+		if status == http.StatusTooManyRequests {
+			// The part's replica shed it: relay the shed so the client
+			// backs off and retries the whole batch.
+			rt.metrics.addReplicaShed(p.rep.id)
+			rt.metrics.addShed()
+			rt.cancelParts(batch)
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, fmt.Sprintf("replica %s shed its sub-batch", p.rep.id))
+			return
+		}
 		if status != http.StatusAccepted || decErr != nil || remote.ID == "" {
 			rt.cancelParts(batch)
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s answered %d to sub-batch", p.rep.id, status))
 			return
 		}
 		rt.metrics.addBatchPart(p.rep.id)
-		batch.parts = append(batch.parts, fleetBatchPart{
+		batch.parts = append(batch.parts, &placement{
 			replicaID: p.rep.id,
 			remoteID:  remote.ID,
 			specIdx:   p.specIdx,
@@ -197,12 +176,7 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			batch.specPart[fi] = struct{ part, idx int }{pi, li}
 		}
 	}
-
-	rt.mu.Lock()
-	rt.seq++
-	batch.id = fmt.Sprintf("fb%06d", rt.seq)
-	rt.batches[batch.id] = batch
-	rt.mu.Unlock()
+	rt.retain(batch, "")
 	rt.metrics.addBatch()
 
 	w.Header().Set("Location", "/v1/batches/"+batch.id)
@@ -217,11 +191,9 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // cancelParts best-effort cancels every sub-batch already placed.
-func (rt *Router) cancelParts(batch *fleetBatch) {
+func (rt *Router) cancelParts(batch *record) {
 	for _, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
+		rep := rt.replica(part.replicaID)
 		if rep == nil {
 			continue
 		}
@@ -235,18 +207,9 @@ func (rt *Router) cancelParts(batch *fleetBatch) {
 	}
 }
 
-// fleetBatchByID looks a fanned-out batch up.
-func (rt *Router) fleetBatchByID(id string) *fleetBatch {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.batches[id]
-}
-
 // partStatus fetches one sub-batch's status from its replica.
-func (rt *Router) partStatus(r *http.Request, part fleetBatchPart) (remoteBatchStatus, error) {
-	rt.mu.Lock()
-	rep := rt.replicas[part.replicaID]
-	rt.mu.Unlock()
+func (rt *Router) partStatus(r *http.Request, part *placement) (remoteBatchStatus, error) {
+	rep := rt.replica(part.replicaID)
 	if rep == nil {
 		return remoteBatchStatus{}, fmt.Errorf("unknown replica %s", part.replicaID)
 	}
@@ -291,9 +254,8 @@ func mergeState(states []string) string {
 }
 
 func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	batch := rt.fleetBatchByID(r.PathValue("id"))
+	batch := rt.lookup(w, r, true)
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	out := fleetBatchStatus{
@@ -315,32 +277,13 @@ func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 				errs = append(errs, fmt.Sprintf("%s: %s", part.replicaID, st.Error))
 			}
 			out.RowsDone += st.RowsDone
-			out.Stats.Specs += st.Stats.Specs
-			out.Stats.CellsNeeded += st.Stats.CellsNeeded
-			out.Stats.CellsPlanned += st.Stats.CellsPlanned
-			out.Stats.CellsCached += st.Stats.CellsCached
-			out.Stats.CellsExecuted += st.Stats.CellsExecuted
-			out.Stats.WorldsPlanned += st.Stats.WorldsPlanned
-			out.Stats.WorldsBuilt += st.Stats.WorldsBuilt
-			out.Stats.Observations += st.Stats.Observations
-			out.Stats.LegacyPlaybacks += st.Stats.LegacyPlaybacks
-			for profile, n := range st.Stats.DeviceCells {
-				if out.Stats.DeviceCells == nil {
-					out.Stats.DeviceCells = make(map[string]int)
-				}
-				out.Stats.DeviceCells[profile] += n
-			}
-			for dialect, n := range st.Stats.ManifestsServed {
-				if out.Stats.ManifestsServed == nil {
-					out.Stats.ManifestsServed = make(map[string]int)
-				}
-				out.Stats.ManifestsServed[dialect] += n
-			}
+			out.Stats.Add(st.Stats)
 		}
 		states = append(states, doc.State)
 		out.Parts = append(out.Parts, doc)
 	}
 	out.State = mergeState(states)
+	batch.note(out.State)
 	if out.State == "failed" {
 		out.Error = strings.Join(errs, "; ")
 	}
@@ -348,9 +291,8 @@ func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	batch := rt.fleetBatchByID(r.PathValue("id"))
+	batch := rt.lookup(w, r, true)
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	rt.cancelParts(batch)
@@ -360,9 +302,8 @@ func (rt *Router) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 // handleBatchTable proxies one fleet spec's table to the part that ran
 // it, translating the fleet index to the replica's local one.
 func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
-	batch := rt.fleetBatchByID(r.PathValue("id"))
+	batch := rt.lookup(w, r, true)
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	idx, err := strconv.Atoi(r.PathValue("spec"))
@@ -372,9 +313,7 @@ func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 	}
 	loc := batch.specPart[idx]
 	part := batch.parts[loc.part]
-	rt.mu.Lock()
-	rep := rt.replicas[part.replicaID]
-	rt.mu.Unlock()
+	rep := rt.replica(part.replicaID)
 	if rep == nil {
 		writeError(w, http.StatusInternalServerError, "batch part mapped to unknown replica")
 		return
@@ -394,9 +333,8 @@ func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
-	batch := rt.fleetBatchByID(r.PathValue("id"))
+	batch := rt.lookup(w, r, true)
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	if r.URL.Query().Get("stream") != "" {
@@ -405,11 +343,9 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 	}
 	// Merge each part's backlog: remap spec indexes, order by (part,
 	// part-local seq), re-stamp fleet Seq.
-	var merged []fleetBatchRow
+	var merged []serve.BatchRow
 	for pi, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
+		rep := rt.replica(part.replicaID)
 		if rep == nil {
 			continue
 		}
@@ -420,7 +356,7 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", rep.id, err))
 			return
 		}
-		var rows []fleetBatchRow
+		var rows []serve.BatchRow
 		decErr := json.NewDecoder(resp.Body).Decode(&rows)
 		drainBody(resp)
 		if decErr != nil {
@@ -441,7 +377,7 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 		merged[i].Seq = int64(i + 1)
 	}
 	if merged == nil {
-		merged = []fleetBatchRow{}
+		merged = []serve.BatchRow{}
 	}
 	writeJSON(w, http.StatusOK, merged)
 }
@@ -450,30 +386,29 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 // goroutine per part parses frames and remaps spec indexes; the writer
 // serializes them, re-stamping a fleet-level Seq (strictly ascending in
 // delivery order), and closes with one merged `event: done`.
-func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch *fleetBatch) {
+func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch *record) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
 
-	type partDone struct{ state string }
-	rowCh := make(chan fleetBatchRow, 64)
-	doneCh := make(chan partDone, len(batch.parts))
+	// rowCh is buffered so part readers can run ahead of a client that
+	// is briefly slow to take frames; doneCh takes one send per part.
+	rowCh := make(chan serve.BatchRow, 64)
+	doneCh := make(chan string, len(batch.parts))
 	var wg sync.WaitGroup
 	for _, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
+		rep := rt.replica(part.replicaID)
 		if rep == nil {
-			doneCh <- partDone{state: "failed"}
+			doneCh <- "failed"
 			continue
 		}
 		wg.Add(1)
-		go func(part fleetBatchPart, rep *replica) {
+		go func(part *placement, rep *replica) {
 			defer wg.Done()
 			state := "failed"
-			defer func() { doneCh <- partDone{state: state} }()
+			defer func() { doneCh <- state }()
 			resp, err := rt.forward(r.Context(), rep, http.MethodGet, "/v1/batches/"+part.remoteID+"/rows?stream=1", nil)
 			if err != nil {
 				rt.metrics.addProxyError(rep.id)
@@ -491,7 +426,7 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 					data := strings.TrimPrefix(line, "data: ")
 					switch event {
 					case "row":
-						var row fleetBatchRow
+						var row serve.BatchRow
 						if json.Unmarshal([]byte(data), &row) != nil {
 							return
 						}
@@ -544,9 +479,10 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 	}
 	states := make([]string, 0, len(batch.parts))
 	for range batch.parts {
-		fin := <-doneCh
-		states = append(states, fin.state)
+		states = append(states, <-doneCh)
 	}
-	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", mergeState(states))
+	state := mergeState(states)
+	batch.note(state)
+	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", state)
 	flusher.Flush()
 }

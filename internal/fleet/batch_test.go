@@ -181,7 +181,7 @@ func TestRouter_BatchFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []fleetBatchRow
+	var rows []serve.BatchRow
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRouter_BatchFanout(t *testing.T) {
 		case strings.HasPrefix(line, "data: "):
 			data := strings.TrimPrefix(line, "data: ")
 			if event == "row" {
-				var row fleetBatchRow
+				var row serve.BatchRow
 				if err := json.Unmarshal([]byte(data), &row); err != nil {
 					t.Fatalf("bad row frame %q: %v", data, err)
 				}
@@ -249,5 +249,86 @@ func TestRouter_BatchFanout(t *testing.T) {
 
 	if got := scrape(t, base+"/metrics", "wideleakfleet_batches_total"); got != "1" {
 		t.Errorf("wideleakfleet_batches_total = %q, want 1", got)
+	}
+}
+
+// TestRouter_BatchShedRelayed: when a part's replica sheds its sub-batch
+// with 429, the fleet cancels the parts it already placed and relays the
+// shed as a fleet 429 + Retry-After instead of a 502. One worker is held
+// by a running study and QueueSize 1 is filled, as in
+// TestRouter_SpillOn429.
+func TestRouter_BatchShedRelayed(t *testing.T) {
+	f := startFleet(t, 2, serve.Config{Workers: 1, QueueSize: 1})
+	base := f.URL
+
+	seedA := "shed-a"
+	ownerA := f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: seedA}))
+	seedB := ""
+	for i := 0; i < 64; i++ {
+		cand := fmt.Sprintf("shed-b%d", i)
+		if f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: cand})) != ownerA {
+			seedB = cand
+			break
+		}
+	}
+	if seedB == "" {
+		t.Fatal("no candidate seed hashed to the second replica")
+	}
+	ownerB := f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: seedB}))
+
+	// Fill owner B: one running study holds its worker, one queued
+	// subset fills its queue.
+	running, _ := fleetSubmit(t, base, fmt.Sprintf(`{"seed": %q, "profiles": ["Showtime"]}`, seedB), http.StatusAccepted)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, _ := getFleetStatus(t, base, running.ID)
+		if st.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("blocking study never started running")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	fleetSubmit(t, base, fmt.Sprintf(`{"seed": %q, "profiles": ["Showtime"], "probes": ["q2"]}`, seedB), http.StatusAccepted)
+
+	// Spec 0 places a part on owner A first (a full study, long enough
+	// to still be live when it is cancelled); spec 1's part is shed.
+	body, err := json.Marshal(map[string]any{"specs": []wideleak.RunSpec{
+		{Seed: seedA, Profiles: []string{"Showtime"}},
+		{Seed: seedB, Profiles: []string{"Showtime"}, Probes: []string{"q3"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch onto a full replica = %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+	if got := scrape(t, base+"/metrics", "wideleakfleet_shed_total"); got != "1" {
+		t.Errorf("wideleakfleet_shed_total = %q, want 1", got)
+	}
+	if got := scrape(t, base+"/metrics", fmt.Sprintf("wideleakfleet_replica_shed_total{replica=%q}", ownerB)); got != "1" {
+		t.Errorf("replica_shed_total{%s} = %q, want 1", ownerB, got)
+	}
+	if got := scrape(t, base+"/metrics", "wideleakfleet_batches_total"); got != "0" {
+		t.Errorf("wideleakfleet_batches_total = %q, want 0 (the batch was never accepted)", got)
+	}
+
+	// The part already placed on owner A was cancelled.
+	repA := f.Replica(ownerA).URL
+	deadline = time.Now().Add(60 * time.Second)
+	for scrape(t, repA+"/metrics", `wideleakd_batches_total{state="canceled"}`) != "1" {
+		if time.Now().After(deadline) {
+			t.Fatalf("placed part on %s was never cancelled", ownerA)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

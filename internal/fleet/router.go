@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -82,23 +83,55 @@ type replica struct {
 
 func (r *replica) isHealthy() bool { return r.healthy.Load() }
 
-// fleetJob is the router's record of one submitted study: the canonical
-// spec (for failover resubmission) and where it currently lives.
-type fleetJob struct {
-	id       string // fleet-level ID the client holds
-	key      string // canonical RunSpec.Key
-	worldKey string // ring address
-	specBody []byte // canonical spec JSON, replayed on failover
-
+// placement is where one replica-side job lives: a study's current
+// replica (failover moves it) or one part of a fanned-out batch.
+type placement struct {
 	mu        sync.Mutex // guards replicaID/remoteID across failovers
 	replicaID string
 	remoteID  string
+	specIdx   []int // fleet spec index of each replica-local spec
 }
 
-func (j *fleetJob) location() (replicaID, remoteID string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replicaID, j.remoteID
+func (p *placement) location() (replicaID, remoteID string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.replicaID, p.remoteID
+}
+
+// record is the router's entry for one submission: a study, placed on
+// one replica and failed over as a whole, or a batch, split into one
+// part per world owner.
+type record struct {
+	id    string
+	batch bool
+	specs []wideleak.RunSpec // a batch's canonical specs
+	parts []*placement       // a study has exactly one
+
+	// A study's failover inputs: its ring address and canonical spec
+	// JSON, replayed on the successor.
+	worldKey string
+	specBody []byte
+
+	// specPart[i] locates batch spec i: which part, and its index there.
+	specPart []struct{ part, idx int }
+
+	// terminal is set once a response the router relayed or merged
+	// showed the record finished. Only terminal records are evicted: the
+	// router cannot see a replica's queue, so one whose end it never
+	// observed counts as live.
+	terminal atomic.Bool
+}
+
+// maxRecords bounds the record table: past it, the oldest terminal
+// records are forgotten and their IDs answer 404.
+const maxRecords = 1024
+
+// note marks the record terminal when a state it was seen in — a
+// replica's, or a batch's merged one — is final.
+func (rec *record) note(state string) {
+	if state == "done" || state == "failed" || state == "canceled" {
+		rec.terminal.Store(true)
+	}
 }
 
 // Router is the fleet front end: it owns the ring, the replica health
@@ -114,8 +147,8 @@ type Router struct {
 
 	mu       sync.Mutex
 	replicas map[string]*replica
-	jobs     map[string]*fleetJob
-	batches  map[string]*fleetBatch
+	records  map[string]*record // retained studies and batches by ID
+	order    *list.List         // of *record, oldest submission first
 	seq      int64
 
 	closed chan struct{}
@@ -147,8 +180,8 @@ func NewRouter(members []Member, opts Options) (*Router, error) {
 		opts:     opts,
 		ring:     newRing(ids, opts.VNodes),
 		replicas: replicas,
-		jobs:     make(map[string]*fleetJob),
-		batches:  make(map[string]*fleetBatch),
+		records:  make(map[string]*record),
+		order:    list.New(),
 		client: &http.Client{Transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
 			MaxIdleConnsPerHost:   64,
@@ -376,18 +409,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rt.mu.Lock()
-	rt.seq++
-	job := &fleetJob{
-		id:        fmt.Sprintf("f%06d-%.8s", rt.seq, key),
-		key:       key,
-		worldKey:  worldKey,
-		specBody:  body,
-		replicaID: rep.id,
-		remoteID:  remote.ID,
+	rec := &record{
+		parts:    []*placement{{replicaID: rep.id, remoteID: remote.ID}},
+		worldKey: worldKey,
+		specBody: body,
 	}
-	rt.jobs[job.id] = job
-	rt.mu.Unlock()
+	rec.note(remote.State)
+	rt.retain(rec, key)
 
 	owner := rt.ring.owner(worldKey)
 	route := "owner"
@@ -399,8 +427,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderReplica, rep.id)
 	w.Header().Set(HeaderRoute, route)
 	writeJSON(w, status, fleetSubmitResponse{
-		ID: job.id, State: remote.State, Cached: remote.Cached, Coalesced: remote.Coalesced,
-		Replica: rep.id, StatusURL: "/v1/studies/" + job.id,
+		ID: rec.id, State: remote.State, Cached: remote.Cached, Coalesced: remote.Coalesced,
+		Replica: rep.id, StatusURL: "/v1/studies/" + rec.id,
 	})
 }
 
@@ -546,31 +574,74 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// handleJob proxies one fleet job's status/table/events/cancel to the
+// retain assigns a record the next ID of the router's one sequence
+// (fNNNNNN-<key prefix> for a study, fbNNNNNN for a batch), adds it to
+// the record table, and forgets the oldest terminal records until the
+// table is back within maxRecords.
+func (rt *Router) retain(rec *record, key string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.seq++
+	rec.id = fmt.Sprintf("f%06d-%.8s", rt.seq, key)
+	if rec.batch {
+		rec.id = fmt.Sprintf("fb%06d", rt.seq)
+	}
+	rt.records[rec.id] = rec
+	rt.order.PushBack(rec)
+	for e := rt.order.Front(); e != nil && len(rt.records) > maxRecords; {
+		next := e.Next()
+		if old := e.Value.(*record); old.terminal.Load() {
+			rt.order.Remove(e)
+			delete(rt.records, old.id)
+		}
+		e = next
+	}
+}
+
+// lookup finds a retained record of the route's kind, answering 404
+// when there is none (never submitted, or evicted).
+func (rt *Router) lookup(w http.ResponseWriter, r *http.Request, batch bool) *record {
+	rt.mu.Lock()
+	rec := rt.records[r.PathValue("id")]
+	rt.mu.Unlock()
+	if rec == nil || rec.batch != batch {
+		noun := "study"
+		if batch {
+			noun = "batch"
+		}
+		writeError(w, http.StatusNotFound, "no such "+noun)
+		return nil
+	}
+	return rec
+}
+
+// replica returns the member with the given ID, nil if unknown.
+func (rt *Router) replica(id string) *replica {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.replicas[id]
+}
+
+// handleJob proxies one fleet study's status/table/events/cancel to the
 // replica currently running it, failing over to a ring successor when
 // that replica is gone.
 func (rt *Router) handleJob(suffix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rt.mu.Lock()
-		job := rt.jobs[r.PathValue("id")]
-		rt.mu.Unlock()
-		if job == nil {
-			writeError(w, http.StatusNotFound, "no such study")
+		rec := rt.lookup(w, r, false)
+		if rec == nil {
 			return
 		}
-		// One failover attempt per request: if the job's replica is gone,
-		// resubmit its spec to the ring successor, then proxy there.
+		// One failover attempt per request: if the study's replica is
+		// gone, resubmit its spec to the ring successor, then proxy there.
 		for attempt := 0; attempt < 2; attempt++ {
-			repID, remoteID := job.location()
-			rt.mu.Lock()
-			rep := rt.replicas[repID]
-			rt.mu.Unlock()
+			repID, remoteID := rec.parts[0].location()
+			rep := rt.replica(repID)
 			if rep == nil {
 				writeError(w, http.StatusInternalServerError, "job mapped to unknown replica")
 				return
 			}
 			if !rep.isHealthy() {
-				if !rt.failover(r.Context(), job, w) {
+				if !rt.failover(r.Context(), rec, w) {
 					return
 				}
 				continue
@@ -586,10 +657,25 @@ func (rt *Router) handleJob(suffix string) http.HandlerFunc {
 				}
 				rt.metrics.addProxyError(rep.id)
 				rt.noteFailure(rep)
-				if !rt.failover(r.Context(), job, w) {
+				if !rt.failover(r.Context(), rec, w) {
 					return
 				}
 				continue
+			}
+			switch {
+			case suffix == "/table" && resp.StatusCode == http.StatusOK:
+				rec.terminal.Store(true)
+			case suffix == "" && resp.StatusCode/100 == 2:
+				// A status or cancel document: note its state on the way.
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var doc struct {
+					State string `json:"state"`
+				}
+				if err == nil && json.Unmarshal(raw, &doc) == nil {
+					rec.note(doc.State)
+				}
+				resp.Body = io.NopCloser(bytes.NewReader(raw))
 			}
 			relayResponse(w, resp, rep.id)
 			return
@@ -598,31 +684,29 @@ func (rt *Router) handleJob(suffix string) http.HandlerFunc {
 	}
 }
 
-// failover reroutes a job whose replica died: its canonical spec is
+// failover reroutes a study whose replica died: its canonical spec is
 // resubmitted through the ring (the dead replica is unhealthy, so the
-// walk lands on its successor) and the job is remapped. Determinism
+// walk lands on its successor) and the study is remapped. Determinism
 // makes the rerun byte-identical, so the client never notices beyond
 // latency. Reports false after writing an error response.
-func (rt *Router) failover(ctx context.Context, job *fleetJob, w http.ResponseWriter) bool {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	// Another request may have failed this job over already; if its
+func (rt *Router) failover(ctx context.Context, rec *record, w http.ResponseWriter) bool {
+	p := rec.parts[0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Another request may have failed this study over already; if its
 	// current replica is healthy again, just retry against it.
-	rt.mu.Lock()
-	cur := rt.replicas[job.replicaID]
-	rt.mu.Unlock()
-	if cur != nil && cur.isHealthy() {
+	if cur := rt.replica(p.replicaID); cur != nil && cur.isHealthy() {
 		return true
 	}
-	rep, remote, _, _, err := rt.submitToReplica(ctx, job.worldKey, job.specBody)
+	rep, remote, _, _, err := rt.submitToReplica(ctx, rec.worldKey, rec.specBody)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica lost and failover failed: %v", err))
 		return false
 	}
-	job.replicaID = rep.id
-	job.remoteID = remote.ID
+	p.replicaID = rep.id
+	p.remoteID = remote.ID
 	rt.metrics.addFailover()
-	rt.metrics.addRouted(rep.id, rep.id != rt.ring.owner(job.worldKey))
+	rt.metrics.addRouted(rep.id, rep.id != rt.ring.owner(rec.worldKey))
 	return true
 }
 

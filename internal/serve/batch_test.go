@@ -168,7 +168,7 @@ func TestServer_BatchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rows []batchRow
+	var rows []BatchRow
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestServer_BatchRowsSSE(t *testing.T) {
 	}
 
 	var (
-		rows      []batchRow
+		rows      []BatchRow
 		doneState string
 		event     string
 	)
@@ -246,7 +246,7 @@ func TestServer_BatchRowsSSE(t *testing.T) {
 			data := strings.TrimPrefix(line, "data: ")
 			switch event {
 			case "row":
-				var row batchRow
+				var row BatchRow
 				if err := json.Unmarshal([]byte(data), &row); err != nil {
 					t.Fatalf("bad row frame %q: %v", data, err)
 				}

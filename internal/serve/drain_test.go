@@ -64,7 +64,7 @@ func TestServer_DrainUnderLoad(t *testing.T) {
 		t.Errorf("mid-drain submit = %d, want 503", resp.StatusCode)
 	}
 	// ...but accepted jobs are still observable, and still live. (The
-	// gate holds the first job before start(), so both read queued.)
+	// gate holds the first job running; the second waits queued.)
 	for _, id := range []string{running.ID, queued.ID} {
 		if st := getStatus(t, ts, id); st.State.terminal() {
 			t.Errorf("mid-drain job %s already %s, want live", id, st.State)

@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/netsim"
+	"repro/internal/promtext"
 	"repro/internal/wideleak"
 	"repro/internal/wideleak/probe"
 )
@@ -28,23 +27,23 @@ type Metrics struct {
 	rsaMinted   int64 // 2048-bit device keys actually generated by jobs
 	degraded    int64
 
-	cellsCached     int64            // probe cells satisfied from the cell LRU
-	cellsExecuted   int64            // probe cells that actually ran
-	cellRecombined  int64            // jobs reassembled purely from memoized cells
-	batchRows       int64            // rows completed by batch runs
-	batchesFinished map[string]int64 // terminal state → count
-	deviceCells     map[string]int64 // device profile → fixture cells manufactured
-	manifestsServed map[string]int64 // manifest dialect → CDN manifest serves
+	cells           wideleak.BatchStats // every run's cell-sharing counters, summed
+	cellRecombined  int64               // jobs reassembled purely from memoized cells
+	batchRows       int64               // rows completed by batch runs
+	batchesFinished map[string]int64    // terminal state → count
 
 	jobs    map[string]int64 // terminal state → count
 	retries map[string]int64 // host → masked transient attempts
 
-	probeWall    *histogram
-	probeVirtual *histogram
+	probeWall    *promtext.Histogram
+	probeVirtual *promtext.Histogram
 
-	// queueDepth and inFlight are sampled live at render time.
+	// The gauges are sampled live at render time. The server sets
+	// retained after construction; it reads an atomic, never a lock the
+	// server may hold while it counts.
 	queueDepth func() int
 	inFlight   func() int
+	retained   func() int
 }
 
 func newMetrics(queueDepth, inFlight func() int) *Metrics {
@@ -52,15 +51,14 @@ func newMetrics(queueDepth, inFlight func() int) *Metrics {
 		jobs:            make(map[string]int64),
 		retries:         make(map[string]int64),
 		batchesFinished: make(map[string]int64),
-		deviceCells:     make(map[string]int64),
-		manifestsServed: make(map[string]int64),
 		// Probe wall times are sub-second on the simulator; virtual times
 		// accumulate injected latency and backoff, so their buckets reach
 		// into minutes.
-		probeWall:    newHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5),
-		probeVirtual: newHistogram(.005, .01, .05, .1, .5, 1, 5, 10, 30, 60, 120),
+		probeWall:    promtext.NewHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5),
+		probeVirtual: promtext.NewHistogram(.005, .01, .05, .1, .5, 1, 5, 10, 30, 60, 120),
 		queueDepth:   queueDepth,
 		inFlight:     inFlight,
+		retained:     func() int { return 0 },
 	}
 }
 
@@ -75,12 +73,12 @@ func (m *Metrics) ObserveEvent(ev probe.Event) {
 	defer m.mu.Unlock()
 	switch ev.Kind {
 	case probe.EventProbeFinished:
-		m.probeWall.observe(ev.Wall.Seconds())
-		m.probeVirtual.observe(ev.Virtual.Seconds())
+		m.probeWall.Observe(ev.Wall.Seconds())
+		m.probeVirtual.Observe(ev.Virtual.Seconds())
 	case probe.EventProbeDegraded:
 		m.degraded++
-		m.probeWall.observe(ev.Wall.Seconds())
-		m.probeVirtual.observe(ev.Virtual.Seconds())
+		m.probeWall.Observe(ev.Wall.Seconds())
+		m.probeVirtual.Observe(ev.Virtual.Seconds())
 	}
 }
 
@@ -126,14 +124,7 @@ func (m *Metrics) RSAMinted() int64 {
 // batch's built worlds actually manufactured, per device profile.
 func (m *Metrics) addCellStats(st wideleak.BatchStats) {
 	m.mu.Lock()
-	m.cellsCached += int64(st.CellsCached)
-	m.cellsExecuted += int64(st.CellsExecuted)
-	for profile, n := range st.DeviceCells {
-		m.deviceCells[profile] += int64(n)
-	}
-	for dialect, n := range st.ManifestsServed {
-		m.manifestsServed[dialect] += int64(n)
-	}
+	m.cells.Add(st)
 	m.mu.Unlock()
 }
 
@@ -141,13 +132,6 @@ func (m *Metrics) addCellRecombined() { m.add(&m.cellRecombined) }
 
 // addBatchRow counts one streamed batch row.
 func (m *Metrics) addBatchRow() { m.add(&m.batchRows) }
-
-// batchFinished counts one batch reaching a terminal state.
-func (m *Metrics) batchFinished(state JobState) {
-	m.mu.Lock()
-	m.batchesFinished[string(state)]++
-	m.mu.Unlock()
-}
 
 func (m *Metrics) add(field *int64) {
 	m.mu.Lock()
@@ -162,6 +146,13 @@ func (m *Metrics) jobFinished(state JobState) {
 	m.mu.Unlock()
 }
 
+// batchFinished counts one batch reaching a terminal state.
+func (m *Metrics) batchFinished(state JobState) {
+	m.mu.Lock()
+	m.batchesFinished[string(state)]++
+	m.mu.Unlock()
+}
+
 // Render produces the Prometheus text exposition. Output is stable:
 // metric families in fixed order, label values sorted.
 func (m *Metrics) Render() string {
@@ -169,105 +160,29 @@ func (m *Metrics) Render() string {
 	defer m.mu.Unlock()
 	var b strings.Builder
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("wideleakd_jobs_submitted_total", "Study submissions accepted into the queue.", m.submitted)
-	counter("wideleakd_jobs_shed_total", "Submissions rejected with 429 because the queue was full.", m.shed)
-	counter("wideleakd_jobs_coalesced_total", "Submissions attached to an identical in-flight job.", m.coalesced)
-	counter("wideleakd_cache_hits_total", "Submissions served from the result cache with no device work.", m.cacheHits)
-	counter("wideleakd_cache_misses_total", "Submissions that had to run the study.", m.cacheMisses)
-	counter("wideleakd_world_cache_hits_total", "Jobs that restored a warmed world snapshot (tier 2) instead of building cold.", m.worldHits)
-	counter("wideleakd_world_cache_misses_total", "Jobs that built their world cold (no usable snapshot).", m.worldMisses)
-	counter("wideleakd_rsa_keys_minted_total", "2048-bit device RSA keys actually generated by jobs (zero on warmed paths).", m.rsaMinted)
-	counter("wideleakd_probe_degraded_total", "Probe runs that exhausted transport retries and degraded.", m.degraded)
-	counter("wideleakd_cells_cached_total", "Probe cells satisfied from the memoized cell LRU.", m.cellsCached)
-	counter("wideleakd_cells_executed_total", "Probe cells that actually ran a probe.", m.cellsExecuted)
-	counter("wideleakd_jobs_cell_recombined_total", "Jobs reassembled purely from memoized cells (zero device work below tier 1).", m.cellRecombined)
-	counter("wideleakd_batch_rows_total", "Rows completed by batch runs.", m.batchRows)
+	promtext.Counter(&b, "wideleakd_jobs_submitted_total", "Study submissions accepted into the queue.", m.submitted)
+	promtext.Counter(&b, "wideleakd_jobs_shed_total", "Submissions rejected with 429 because the queue was full.", m.shed)
+	promtext.Counter(&b, "wideleakd_jobs_coalesced_total", "Submissions attached to an identical in-flight job.", m.coalesced)
+	promtext.Counter(&b, "wideleakd_cache_hits_total", "Submissions served from the result cache with no device work.", m.cacheHits)
+	promtext.Counter(&b, "wideleakd_cache_misses_total", "Submissions that had to run the study.", m.cacheMisses)
+	promtext.Counter(&b, "wideleakd_world_cache_hits_total", "Jobs that restored a warmed world snapshot (tier 2) instead of building cold.", m.worldHits)
+	promtext.Counter(&b, "wideleakd_world_cache_misses_total", "Jobs that built their world cold (no usable snapshot).", m.worldMisses)
+	promtext.Counter(&b, "wideleakd_rsa_keys_minted_total", "2048-bit device RSA keys actually generated by jobs (zero on warmed paths).", m.rsaMinted)
+	promtext.Counter(&b, "wideleakd_probe_degraded_total", "Probe runs that exhausted transport retries and degraded.", m.degraded)
+	promtext.Counter(&b, "wideleakd_cells_cached_total", "Probe cells satisfied from the memoized cell LRU.", int64(m.cells.CellsCached))
+	promtext.Counter(&b, "wideleakd_cells_executed_total", "Probe cells that actually ran a probe.", int64(m.cells.CellsExecuted))
+	promtext.Counter(&b, "wideleakd_jobs_cell_recombined_total", "Jobs reassembled purely from memoized cells (zero device work below tier 1).", m.cellRecombined)
+	promtext.Counter(&b, "wideleakd_batch_rows_total", "Rows completed by batch runs.", m.batchRows)
+	promtext.CounterVec(&b, "wideleakd_device_cells_total", "Fixture device cells manufactured by built worlds, by device profile.", "profile", m.cells.DeviceCells)
+	promtext.CounterVec(&b, "wideleakd_manifests_served_total", "CDN manifests served by built worlds, by manifest dialect.", "dialect", m.cells.ManifestsServed)
+	promtext.CounterVec(&b, "wideleakd_batches_total", "Batches finished, by terminal state.", "state", m.batchesFinished)
+	promtext.CounterVec(&b, "wideleakd_jobs_total", "Jobs finished, by terminal state.", "state", m.jobs)
+	promtext.CounterVec(&b, "wideleakd_netsim_retries_total", "Masked transient transport faults, by host.", "host", m.retries)
+	promtext.Gauge(&b, "wideleakd_queue_depth", "Jobs waiting in the queue.", int64(m.queueDepth()))
+	promtext.Gauge(&b, "wideleakd_jobs_inflight", "Jobs currently running on workers.", int64(m.inFlight()))
+	promtext.Gauge(&b, "wideleakd_jobs_retained", "Study and batch records held for lookup (live ones plus the newest terminal ones).", int64(m.retained()))
 
-	fmt.Fprintf(&b, "# HELP wideleakd_device_cells_total Fixture device cells manufactured by built worlds, by device profile.\n# TYPE wideleakd_device_cells_total counter\n")
-	for _, profile := range sortedKeys(m.deviceCells) {
-		fmt.Fprintf(&b, "wideleakd_device_cells_total{profile=%q} %d\n", profile, m.deviceCells[profile])
-	}
-
-	fmt.Fprintf(&b, "# HELP wideleakd_manifests_served_total CDN manifests served by built worlds, by manifest dialect.\n# TYPE wideleakd_manifests_served_total counter\n")
-	for _, dialect := range sortedKeys(m.manifestsServed) {
-		fmt.Fprintf(&b, "wideleakd_manifests_served_total{dialect=%q} %d\n", dialect, m.manifestsServed[dialect])
-	}
-
-	fmt.Fprintf(&b, "# HELP wideleakd_batches_total Batches finished, by terminal state.\n# TYPE wideleakd_batches_total counter\n")
-	for _, state := range sortedKeys(m.batchesFinished) {
-		fmt.Fprintf(&b, "wideleakd_batches_total{state=%q} %d\n", state, m.batchesFinished[state])
-	}
-
-	fmt.Fprintf(&b, "# HELP wideleakd_jobs_total Jobs finished, by terminal state.\n# TYPE wideleakd_jobs_total counter\n")
-	for _, state := range sortedKeys(m.jobs) {
-		fmt.Fprintf(&b, "wideleakd_jobs_total{state=%q} %d\n", state, m.jobs[state])
-	}
-
-	fmt.Fprintf(&b, "# HELP wideleakd_netsim_retries_total Masked transient transport faults, by host.\n# TYPE wideleakd_netsim_retries_total counter\n")
-	for _, host := range sortedKeys(m.retries) {
-		fmt.Fprintf(&b, "wideleakd_netsim_retries_total{host=%q} %d\n", host, m.retries[host])
-	}
-
-	fmt.Fprintf(&b, "# HELP wideleakd_queue_depth Jobs waiting in the queue.\n# TYPE wideleakd_queue_depth gauge\nwideleakd_queue_depth %d\n", m.queueDepth())
-	fmt.Fprintf(&b, "# HELP wideleakd_jobs_inflight Jobs currently running on workers.\n# TYPE wideleakd_jobs_inflight gauge\nwideleakd_jobs_inflight %d\n", m.inFlight())
-
-	m.probeWall.render(&b, "wideleakd_probe_wall_seconds", "Wall-clock duration of one probe run.")
-	m.probeVirtual.render(&b, "wideleakd_probe_virtual_seconds", "Virtual-clock time charged to one probe run (injected latency, backoff).")
+	m.probeWall.Render(&b, "wideleakd_probe_wall_seconds", "Wall-clock duration of one probe run.")
+	m.probeVirtual.Render(&b, "wideleakd_probe_virtual_seconds", "Virtual-clock time charged to one probe run (injected latency, backoff).")
 	return b.String()
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// histogram is a fixed-bucket Prometheus histogram. Callers hold the
-// Metrics lock around observe and render.
-type histogram struct {
-	bounds []float64 // upper bounds, ascending
-	counts []uint64  // per-bucket (non-cumulative)
-	sum    float64
-	count  uint64
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	h.count++
-	for i, bound := range h.bounds {
-		if v <= bound {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++ // +Inf bucket
-}
-
-func (h *histogram) render(b *strings.Builder, name, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cumulative := uint64(0)
-	for i, bound := range h.bounds {
-		cumulative += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, trimFloat(bound), cumulative)
-	}
-	cumulative += h.counts[len(h.bounds)]
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cumulative)
-	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(b, "%s_count %d\n", name, h.count)
-}
-
-// trimFloat renders a bucket bound the way Prometheus clients do: the
-// shortest decimal form, no exponent for these magnitudes.
-func trimFloat(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }

@@ -15,19 +15,26 @@
 //	GET    /metrics                  Prometheus text exposition
 //	GET    /healthz                  liveness (503 while draining)
 //
-// Identical canonical requests (same seed, probes, profiles and fault
+// plus the batch routes in batch.go. A study is a batch of one: both
+// kinds are Jobs, queued on one bounded queue, run by one worker pool
+// through wideleak.ExecuteBatch, and retained in one record table that
+// keeps every live job and the newest terminal ones.
+//
+// Identical canonical studies (same seed, probes, profiles and fault
 // schedule — wideleak.RunSpec.Key) are served from the cache with zero
 // new device work; a full queue sheds load with 429 + Retry-After; and
 // Shutdown drains every queued and in-flight job before returning.
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,11 +78,13 @@ type Config struct {
 	// all resident is reassembled with zero device work even when its
 	// exact RunSpec was never served before.
 	CellCacheSize int
-	// BatchWorkers bounds how many batches run concurrently (default
-	// Workers). Each batch drives its own chain pool, so this is a slot
-	// count, not a thread count.
-	BatchWorkers int
 }
+
+// maxRetained bounds the record table: once it holds more jobs than
+// this, the oldest terminal ones are forgotten and their IDs answer 404.
+// Live jobs are never evicted; there are at most QueueSize + Workers of
+// them.
+const maxRetained = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -92,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellCacheSize <= 0 {
 		c.CellCacheSize = 4096
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = c.Workers
 	}
 	return c
 }
@@ -122,22 +128,20 @@ type Server struct {
 	cells *wideleak.CellCache
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	ids      []string        // submission order (for listing)
-	active   map[string]*Job // canonical key → live job (coalescing)
+	jobs     map[string]*Job // retained studies and batches by ID
+	order    *list.List      // of *Job, oldest submission first
+	active   map[string]*Job // canonical key → live study (coalescing)
 	queue    chan *Job
-	batches  map[string]*batchJob
-	batchIDs []string
-	batchSem chan struct{} // bounds concurrently running batches
 	draining bool
 	seq      int64
-	batchSeq int64
 
 	inFlight atomic.Int64
+	retained atomic.Int64 // len(jobs), readable without s.mu
 	wg       sync.WaitGroup
 
-	// testHookJobStart, when set, runs at the top of every worker job —
-	// tests use it to hold jobs in the running state deterministically.
+	// testHookJobStart, when set, runs once a worker has moved a job to
+	// running and before it executes — tests use it to hold jobs in the
+	// running state deterministically.
 	testHookJobStart func(*Job)
 }
 
@@ -145,21 +149,21 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheSize),
-		worlds:   newWorldCache(cfg.WorldCacheSize),
-		pools:    newLRUCache(cfg.WorldCacheSize),
-		cells:    wideleak.NewCellCache(cfg.CellCacheSize),
-		jobs:     make(map[string]*Job),
-		active:   make(map[string]*Job),
-		queue:    make(chan *Job, cfg.QueueSize),
-		batches:  make(map[string]*batchJob),
-		batchSem: make(chan struct{}, cfg.BatchWorkers),
+		cfg:    cfg,
+		cache:  newResultCache(cfg.CacheSize),
+		worlds: newWorldCache(cfg.WorldCacheSize),
+		pools:  newLRUCache(cfg.WorldCacheSize),
+		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
+		jobs:   make(map[string]*Job),
+		order:  list.New(),
+		active: make(map[string]*Job),
+		queue:  make(chan *Job, cfg.QueueSize),
 	}
 	s.metrics = newMetrics(
 		func() int { return len(s.queue) },
 		func() int { return int(s.inFlight.Load()) },
 	)
+	s.metrics.retained = func() int { return int(s.retained.Load()) }
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -244,9 +248,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, j := range s.jobs {
 			j.requestCancel()
 		}
-		for _, b := range s.batches {
-			b.requestCancel()
-		}
 		s.mu.Unlock()
 		<-done
 		return ctx.Err()
@@ -265,9 +266,6 @@ func (s *Server) worker() {
 func (s *Server) runJob(job *Job) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	if hook := s.testHookJobStart; hook != nil {
-		hook(job)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -276,20 +274,22 @@ func (s *Server) runJob(job *Job) {
 		s.clearActive(job)
 		return
 	}
+	if hook := s.testHookJobStart; hook != nil {
+		hook(job)
+	}
 
 	res, err := s.execute(ctx, job)
 	s.clearActive(job)
 	switch {
 	case err == nil:
-		s.cache.put(job.Key, res)
+		if !job.batch {
+			s.cache.put(job.Key, res)
+		}
 		job.finish(JobDone, res, "")
-		s.metrics.jobFinished(JobDone)
 	case errors.Is(err, context.Canceled):
 		job.finish(JobCanceled, nil, err.Error())
-		s.metrics.jobFinished(JobCanceled)
 	default:
 		job.finish(JobFailed, nil, err.Error())
-		s.metrics.jobFinished(JobFailed)
 	}
 }
 
@@ -333,7 +333,7 @@ func (s *Server) buildStudy(spec wideleak.RunSpec) (*wideleak.Study, bool, error
 	return study, worldHit, nil
 }
 
-// builtWorld remembers one study a batch materialized, so the server
+// builtWorld remembers one study a run materialized, so the server
 // can account its key mints and bank its snapshot after the run.
 type builtWorld struct {
 	spec     wideleak.RunSpec // seed + faults + union profiles
@@ -356,24 +356,25 @@ func (s *Server) bankWorlds(built []builtWorld) {
 	}
 }
 
-// execute runs the study described by the job's spec under the job's
-// context, wiring the probe event stream into the job log, SSE
-// subscribers and the metrics, and the network retry stream into the
-// per-host retry counters.
+// execute runs the job's specs as one cell matrix under the job's
+// context, wiring the probe event stream into the metrics (and a
+// study's log and SSE subscribers), a batch's completed rows into its
+// row stream, and the network retry stream into the per-host retry
+// counters.
 //
 // The run goes through the matrix scheduler with the server's cell
-// cache, which makes the result tier cell-aware: when every cell the
-// spec needs is already memoized (a probe subset of an earlier run),
+// cache, which makes the result tier cell-aware: when every cell a
+// study needs is already memoized (a probe subset of an earlier run),
 // the table is reassembled with zero device work — no world built, no
-// observation executed.
+// observation executed — and overlapping batch specs pay for their
+// union once.
 func (s *Server) execute(ctx context.Context, job *Job) (*studyResult, error) {
 	var (
 		builtMu sync.Mutex
 		built   []builtWorld
 	)
-	wallStart := time.Now()
-	batch, err := wideleak.ExecuteBatch(ctx, []wideleak.RunSpec{job.Spec}, wideleak.BatchOptions{
-		Concurrency: job.Spec.Concurrency,
+	opts := wideleak.BatchOptions{
+		Concurrency: job.concurrency,
 		Cache:       s.cells,
 		BuildStudy: func(spec wideleak.RunSpec) (*wideleak.Study, error) {
 			study, worldHit, err := s.buildStudy(spec)
@@ -392,43 +393,50 @@ func (s *Server) execute(ctx context.Context, job *Job) (*studyResult, error) {
 			builtMu.Unlock()
 			return study, nil
 		},
-	})
+	}
+	if job.batch {
+		opts.OnRow = func(u wideleak.RowUpdate) {
+			job.appendRow(renderRow(u.Spec, u.Row))
+			s.metrics.addBatchRow()
+		}
+	}
+	wallStart := time.Now()
+	batch, err := wideleak.ExecuteBatch(ctx, job.specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	table := batch.Tables[0]
 
-	var virtual time.Duration
-	worldHit := false
-	for _, bw := range built {
-		virtual += bw.study.World.Clock().Now()
-		worldHit = worldHit || bw.worldHit
-	}
 	res := &studyResult{
-		tables:          make(map[string][]byte, len(wideleak.TableFormats())),
-		rows:            len(table.Rows),
-		observations:    batch.Stats.Observations,
-		legacyPlaybacks: batch.Stats.LegacyPlaybacks,
+		tables:          make([]map[string][]byte, len(batch.Tables)),
+		stats:           batch.Stats,
+		rows:            len(batch.Tables[0].Rows),
 		wall:            time.Since(wallStart),
-		virtual:         virtual,
-		worldHit:        worldHit,
 		cellsRecombined: batch.Stats.CellsExecuted == 0 && batch.Stats.WorldsBuilt == 0,
 	}
-	s.metrics.addCellStats(batch.Stats)
-	if res.cellsRecombined {
-		s.metrics.addCellRecombined()
+	for _, bw := range built {
+		res.virtual += bw.study.World.Clock().Now()
+		res.worldHit = res.worldHit || bw.worldHit
 	}
-	for _, format := range wideleak.TableFormats() {
-		out, err := table.Encode(format)
-		if err != nil {
-			return nil, fmt.Errorf("serve: encode %s: %w", format, err)
+	for i, table := range batch.Tables {
+		res.tables[i] = make(map[string][]byte, len(wideleak.TableFormats()))
+		for _, format := range wideleak.TableFormats() {
+			out, err := table.Encode(format)
+			if err != nil {
+				return nil, fmt.Errorf("serve: encode spec %d as %s: %w", i, format, err)
+			}
+			res.tables[i][format] = out
 		}
-		res.tables[format] = out
 	}
-	if res.events, err = job.log.MarshalJSON(); err != nil {
-		return nil, fmt.Errorf("serve: encode events: %w", err)
+	s.metrics.addCellStats(batch.Stats)
+	if !job.batch {
+		if res.cellsRecombined {
+			s.metrics.addCellRecombined()
+		}
+		if res.events, err = job.log.MarshalJSON(); err != nil {
+			return nil, fmt.Errorf("serve: encode events: %w", err)
+		}
+		res.eventCount = job.log.Len()
 	}
-	res.eventCount = job.log.Len()
 	s.bankWorlds(built)
 	return res, nil
 }
@@ -442,38 +450,109 @@ func (s *Server) clearActive(job *Job) {
 	s.mu.Unlock()
 }
 
-// job looks one job up by ID.
-func (s *Server) job(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// newJobLocked mints and registers a job; the caller holds s.mu.
-func (s *Server) newJobLocked(spec wideleak.RunSpec, key string) *Job {
+// newJobLocked mints a live job with the next ID of the one sequence
+// (sNNNNNN-<key prefix> for a study, bNNNNNN for a batch); the caller
+// holds s.mu and retains the job once it is accepted.
+func (s *Server) newJobLocked(specs []wideleak.RunSpec, key string, batch bool) *Job {
 	s.seq++
 	id := fmt.Sprintf("s%06d-%.8s", s.seq, key)
-	job := newJob(id, key, spec)
-	s.jobs[id] = job
-	s.ids = append(s.ids, id)
+	count := s.metrics.jobFinished
+	if batch {
+		id = fmt.Sprintf("b%06d", s.seq)
+		count = s.metrics.batchFinished
+	}
+	job := &Job{
+		ID:        id,
+		Key:       key,
+		specs:     specs,
+		batch:     batch,
+		count:     count,
+		state:     JobQueued,
+		submitted: time.Now(),
+	}
+	if !batch {
+		job.log = &probe.Log{}
+		job.concurrency = specs[0].Concurrency
+	}
 	return job
 }
 
-// Handler returns the HTTP API.
+// retainLocked adds a job to the record table, then forgets the oldest
+// terminal jobs until the table is back within maxRetained. Live jobs
+// are skipped, never evicted. The caller holds s.mu.
+func (s *Server) retainLocked(job *Job) {
+	s.jobs[job.ID] = job
+	s.order.PushBack(job)
+	for e := s.order.Front(); e != nil && len(s.jobs) > maxRetained; {
+		next := e.Next()
+		if old := e.Value.(*Job); old.State().terminal() {
+			s.order.Remove(e)
+			delete(s.jobs, old.ID)
+		}
+		e = next
+	}
+	s.retained.Store(int64(len(s.jobs)))
+}
+
+// enqueueLocked hands a fresh job to the worker pool and retains it. A
+// full queue sheds it instead: the job is never recorded, and the
+// caller answers with shed once it has released s.mu.
+func (s *Server) enqueueLocked(job *Job) bool {
+	select {
+	case s.queue <- job:
+		s.retainLocked(job)
+		return true
+	default:
+		s.metrics.addShed()
+		return false
+	}
+}
+
+// shed tells a client the queue is full and when to come back.
+func shed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, "job queue is full")
+}
+
+// lookup finds a retained job of the route's kind, answering 404 when
+// there is none (never submitted, or evicted).
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, batch bool) *Job {
+	s.mu.Lock()
+	job := s.jobs[r.PathValue("id")]
+	s.mu.Unlock()
+	if job == nil || job.batch != batch {
+		writeError(w, http.StatusNotFound, "no such "+noun(batch))
+		return nil
+	}
+	return job
+}
+
+func noun(batch bool) string {
+	if batch {
+		return "batch"
+	}
+	return "study"
+}
+
+// Handler returns the HTTP API. Studies and batches share every handler
+// but submission; the route decides which kind an ID must name.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/studies", s.handleSubmit)
-	mux.HandleFunc("GET /v1/studies", s.handleList)
-	mux.HandleFunc("GET /v1/studies/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/studies/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/studies/{id}/table", s.handleTable)
-	mux.HandleFunc("GET /v1/studies/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /v1/batches", s.handleBatchSubmit)
-	mux.HandleFunc("GET /v1/batches", s.handleBatchList)
-	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchStatus)
-	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleBatchCancel)
-	mux.HandleFunc("GET /v1/batches/{id}/rows", s.handleBatchRows)
-	mux.HandleFunc("GET /v1/batches/{id}/tables/{spec}", s.handleBatchTable)
+	for _, k := range []struct {
+		base, feed, table string
+		batch             bool
+	}{
+		{"/v1/studies", "/events", "/table", false},
+		{"/v1/batches", "/rows", "/tables/{spec}", true},
+	} {
+		mux.HandleFunc("GET "+k.base, s.handleList(k.batch))
+		mux.HandleFunc("GET "+k.base+"/{id}", s.handleStatus(k.batch))
+		mux.HandleFunc("DELETE "+k.base+"/{id}", s.handleCancel(k.batch))
+		mux.HandleFunc("GET "+k.base+"/{id}"+k.table, s.handleTable(k.batch))
+		mux.HandleFunc("GET "+k.base+"/{id}"+k.feed, s.handleFeed(k.batch))
+	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
@@ -517,19 +596,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Content-addressed cache: an identical canonical request is served
 	// without any device work — the job is born done. The provenance
 	// headers let a fleet harness attribute the hit to its cache tier.
+	specs := []wideleak.RunSpec{canonical}
 	if res := s.cache.get(key); res != nil {
-		job := s.newJobLocked(canonical, key)
+		job := s.newJobLocked(specs, key, false)
 		job.cached = true
 		job.state = JobDone
 		job.result = res
-		close(job.done)
+		s.retainLocked(job)
 		s.metrics.addCacheHit()
 		s.mu.Unlock()
 		w.Header().Set(HeaderCacheTier, "hit")
 		w.Header().Set(HeaderWorldCache, worldCacheLabel(res.worldHit))
 		writeJSON(w, http.StatusOK, submitResponse{
 			ID: job.ID, State: JobDone, Cached: true,
-			StatusURL: "/v1/studies/" + job.ID,
+			StatusURL: job.url(),
 		})
 		return
 	}
@@ -543,134 +623,159 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderCacheTier, "coalesced")
 		writeJSON(w, http.StatusAccepted, submitResponse{
 			ID: live.ID, State: state, Coalesced: true,
-			StatusURL: "/v1/studies/" + live.ID,
+			StatusURL: live.url(),
 		})
 		return
 	}
 
-	job := s.newJobLocked(canonical, key)
-	select {
-	case s.queue <- job:
-		s.active[key] = job
-		s.metrics.addSubmitted()
-		s.metrics.addCacheMiss()
+	job := s.newJobLocked(specs, key, false)
+	if !s.enqueueLocked(job) {
 		s.mu.Unlock()
-		w.Header().Set(HeaderCacheTier, "miss")
-		w.Header().Set("Location", "/v1/studies/"+job.ID)
-		writeJSON(w, http.StatusAccepted, submitResponse{
-			ID: job.ID, State: JobQueued,
-			StatusURL: "/v1/studies/" + job.ID,
-		})
-	default:
-		// Load shedding: the queue is full. Unregister the stillborn job
-		// and tell the client when to come back.
-		delete(s.jobs, job.ID)
-		s.ids = s.ids[:len(s.ids)-1]
-		s.metrics.addShed()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue is full")
+		shed(w)
+		return
 	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]jobStatus, 0, len(s.ids))
-	for i := len(s.ids) - 1; i >= 0; i-- {
-		statuses = append(statuses, s.jobs[s.ids[i]].status())
-	}
+	s.active[key] = job
+	s.metrics.addSubmitted()
+	s.metrics.addCacheMiss()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statuses)
+	w.Header().Set(HeaderCacheTier, "miss")
+	w.Header().Set("Location", job.url())
+	writeJSON(w, http.StatusAccepted, submitResponse{
+		ID: job.ID, State: JobQueued,
+		StatusURL: job.url(),
+	})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
+// handleList lists the retained jobs of one kind, newest first.
+func (s *Server) handleList(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		statuses := make([]any, 0)
+		for e := s.order.Back(); e != nil; e = e.Prev() {
+			if job := e.Value.(*Job); job.batch == batch {
+				statuses = append(statuses, job.status())
+			}
+		}
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, statuses)
 	}
-	setProvenanceHeaders(w, job)
-	writeJSON(w, http.StatusOK, job.status())
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
+func (s *Server) handleStatus(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		setProvenanceHeaders(w, job)
+		writeJSON(w, http.StatusOK, job.status())
 	}
-	if !job.requestCancel() {
-		writeError(w, http.StatusConflict, fmt.Sprintf("study is already %s", job.State()))
-		return
-	}
-	s.clearActive(job)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": job.State()})
 }
 
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
+func (s *Server) handleCancel(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		if !job.requestCancel() {
+			writeError(w, http.StatusConflict, fmt.Sprintf("%s is already %s", noun(batch), job.State()))
+			return
+		}
+		s.clearActive(job)
+		writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": job.State()})
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" || format == "text" {
-		format = "txt"
+}
+
+// handleTable serves one spec's table of a done job: a study's only
+// spec, or the batch spec the path names.
+func (s *Server) handleTable(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		idx := 0
+		if batch {
+			var err error
+			idx, err = strconv.Atoi(r.PathValue("spec"))
+			if err != nil || idx < 0 || idx >= len(job.specs) {
+				writeError(w, http.StatusNotFound, fmt.Sprintf("batch has specs 0..%d", len(job.specs)-1))
+				return
+			}
+		}
+		format := r.URL.Query().Get("format")
+		if format == "" || format == "text" {
+			format = "txt"
+		}
+		res := job.snapshotResult()
+		if res == nil {
+			writeError(w, http.StatusConflict, fmt.Sprintf("%s is %s, not done", noun(batch), job.State()))
+			return
+		}
+		setProvenanceHeaders(w, job)
+		out, ok := res.tables[idx][format]
+		if !ok {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (supported: txt, csv, json)", format))
+			return
+		}
+		switch format {
+		case "json":
+			w.Header().Set("Content-Type", "application/json")
+		case "csv":
+			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+		default:
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		}
+		w.Write(out)
 	}
-	res := job.snapshotResult()
-	if res == nil {
-		writeError(w, http.StatusConflict, fmt.Sprintf("study is %s, not done", job.State()))
-		return
-	}
-	setProvenanceHeaders(w, job)
-	out, ok := res.tables[format]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (supported: txt, csv, json)", format))
-		return
-	}
-	switch format {
-	case "json":
+}
+
+// handleFeed serves a job's stream — a study's probe events, a batch's
+// completed rows — as one JSON array, or with ?stream=1 as server-sent
+// events.
+func (s *Server) handleFeed(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		if r.URL.Query().Get("stream") != "" {
+			streamFeed(w, r, job)
+			return
+		}
+		if batch {
+			job.mu.Lock()
+			rows := append([]BatchRow(nil), job.rows...)
+			job.mu.Unlock()
+			writeJSON(w, http.StatusOK, rows)
+			return
+		}
+		// A done study serves its result's log verbatim (for cache hits,
+		// the log of the run that produced the cached table); a live one
+		// serves whatever has been recorded so far.
+		if res := job.snapshotResult(); res != nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(res.events)
+			return
+		}
+		out, err := job.log.MarshalJSON()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(out)
 	}
-	w.Write(out)
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamEvents(w, r, job)
-		return
-	}
-	// A done job serves its result's log verbatim (for cache hits, the
-	// log of the run that produced the cached table); a live job serves
-	// whatever has been recorded so far.
-	if res := job.snapshotResult(); res != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(res.events)
-		return
-	}
-	out, err := job.log.MarshalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
-}
-
-// streamEvents serves the event log as server-sent events: first the
-// backlog, then live events until the job reaches a terminal state (or
-// the client goes away). Each event is `event: <kind>` + JSON data; a
-// final `event: done` carries the terminal job state.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) {
+// streamFeed serves a job's stream as server-sent events: first the
+// backlog, then live items until the job reaches a terminal state (or
+// the client goes away), then one final `event: done` carrying the
+// terminal state. A probe event is framed as `event: <kind>`, a batch
+// row as `event: row` (its Seq rises by exactly one per frame); the
+// data line is the item's JSON.
+func streamFeed(w http.ResponseWriter, r *http.Request, job *Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "streaming unsupported")
@@ -680,12 +785,16 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	writeEvent := func(ev probe.Event) bool {
-		data, err := json.Marshal(ev)
+	write := func(item any) bool {
+		data, err := json.Marshal(item)
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data); err != nil {
+		event := "row"
+		if ev, ok := item.(probe.Event); ok {
+			event = ev.Kind.String()
+		}
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
 			return false
 		}
 		flusher.Flush()
@@ -693,26 +802,21 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 	}
 
 	backlog, live := job.subscribe()
-	for _, ev := range backlog {
-		if !writeEvent(ev) {
+	for _, item := range backlog {
+		if !write(item) {
 			return
 		}
 	}
-	if live != nil {
-		for {
-			select {
-			case ev, ok := <-live:
-				if !ok {
-					live = nil
-				} else if !writeEvent(ev) {
-					return
-				}
-			case <-r.Context().Done():
+	for live != nil {
+		select {
+		case item, ok := <-live:
+			if !ok {
+				live = nil
+			} else if !write(item) {
 				return
 			}
-			if live == nil {
-				break
-			}
+		case <-r.Context().Done():
+			return
 		}
 	}
 	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", job.State())

@@ -178,6 +178,34 @@ type BatchStats struct {
 	ManifestsServed map[string]int `json:"manifests_served,omitempty"`
 }
 
+// Add folds o's counters into st, per-profile and per-dialect counts
+// included, so stats from several batches (a fleet batch's parts, a
+// daemon's lifetime) sum field by field.
+func (st *BatchStats) Add(o BatchStats) {
+	st.Specs += o.Specs
+	st.CellsNeeded += o.CellsNeeded
+	st.CellsPlanned += o.CellsPlanned
+	st.CellsCached += o.CellsCached
+	st.CellsExecuted += o.CellsExecuted
+	st.WorldsPlanned += o.WorldsPlanned
+	st.WorldsBuilt += o.WorldsBuilt
+	st.Observations += o.Observations
+	st.LegacyPlaybacks += o.LegacyPlaybacks
+	st.DeviceCells = addCounts(st.DeviceCells, o.DeviceCells)
+	st.ManifestsServed = addCounts(st.ManifestsServed, o.ManifestsServed)
+}
+
+// addCounts adds src into dst, allocating dst only when src has entries.
+func addCounts(dst, src map[string]int) map[string]int {
+	for k, n := range src {
+		if dst == nil {
+			dst = make(map[string]int, len(src))
+		}
+		dst[k] += n
+	}
+	return dst
+}
+
 // BatchResult carries the per-spec tables (index-aligned with Specs)
 // and the sharing stats.
 type BatchResult struct {
