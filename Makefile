@@ -109,9 +109,10 @@ bench-cold:
 
 # fuzz runs the native fuzz targets over the decoders that consume
 # attacker-controlled bytes (manifests, MP4 boxes, the TEE command frame,
-# the license and provisioning servers' request bodies), each for
-# FUZZTIME (go permits one -fuzz pattern per invocation, hence one run
-# per target).
+# the license and provisioning servers' request bodies, the keybox) and
+# over the RSA prime sieve against a big.Int oracle, each for FUZZTIME
+# (go permits one -fuzz pattern per invocation, hence one run per
+# target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -121,6 +122,8 @@ fuzz:
 	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTEEFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cdm -run '^$$' -fuzz '^FuzzParseLicenseRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cdm -run '^$$' -fuzz '^FuzzParseProvisioningRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/keybox -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wvcrypto -run '^$$' -fuzz '^FuzzSmallFactorSieve$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

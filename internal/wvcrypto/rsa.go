@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // RSABits is the modulus size of the Device RSA Key, matching the 2048-bit
@@ -72,6 +73,7 @@ func GenerateRSAKey(rand io.Reader) (*rsa.PrivateKey, error) {
 // the candidate odd.
 func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 	b := make([]byte, (bits+7)/8)
+	p := new(big.Int)
 	for {
 		if _, err := io.ReadFull(rand, b); err != nil {
 			return nil, err
@@ -89,11 +91,76 @@ func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 			b[1] |= 0b1000_0000
 		}
 		b[len(b)-1] |= 1
-		p := new(big.Int).SetBytes(b)
-		if p.ProbablyPrime(20) {
+		p.SetBytes(b)
+		// Every candidate is above sieveBound, so a small factor proves it
+		// composite and ProbablyPrime rejects it too (no composite is known
+		// to pass it). The sieve changes neither the bytes drawn nor the
+		// prime returned, only how fast a composite is turned away.
+		if !hasSmallFactor(p) && p.ProbablyPrime(20) {
 			return p, nil
 		}
 	}
+}
+
+// sieveBound bounds randomPrime's trial division: every odd prime below
+// it is tried before Miller-Rabin. Most candidates have such a factor,
+// and finding it costs a fraction of one Miller-Rabin round.
+const sieveBound = 1 << 14
+
+// primeWord is a run of consecutive odd primes together with their
+// product, which fits in a uint64.
+type primeWord struct {
+	product uint64
+	primes  []uint64
+}
+
+// sieveWords packs the odd primes below sieveBound into as few products
+// as fit a uint64 (417 words), smallest primes first.
+var sieveWords = packPrimeWords(sieveBound)
+
+func packPrimeWords(bound int) []primeWord {
+	composite := make([]bool, bound)
+	var words []primeWord
+	cur := primeWord{product: 1}
+	for p := 3; p < bound; p += 2 {
+		if composite[p] {
+			continue
+		}
+		for m := p * p; m < bound; m += 2 * p {
+			composite[m] = true
+		}
+		if hi, _ := bits.Mul64(cur.product, uint64(p)); hi != 0 {
+			words = append(words, cur)
+			cur = primeWord{product: 1}
+		}
+		cur.product *= uint64(p)
+		cur.primes = append(cur.primes, uint64(p))
+	}
+	return append(words, cur)
+}
+
+// hasSmallFactor reports whether an odd prime below sieveBound divides
+// n. For n above every such prime a true verdict proves n composite.
+// Each word's product is reduced against n's limbs, and the remainder is
+// then tested against the primes in that word.
+func hasSmallFactor(n *big.Int) bool {
+	limbs := n.Bits()
+	for _, w := range sieveWords {
+		var r uint64
+		for i := len(limbs) - 1; i >= 0; i-- {
+			if bits.UintSize == 64 {
+				_, r = bits.Div64(r, uint64(limbs[i]), w.product)
+			} else {
+				_, r = bits.Div64(r>>32, r<<32|uint64(limbs[i]), w.product)
+			}
+		}
+		for _, p := range w.primes {
+			if r%p == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SignPSS signs the SHA-256 digest of msg with RSASSA-PSS, the signature
